@@ -324,14 +324,9 @@ func main() {
 		agg = tpascd.Adaptive
 	}
 	cfg := tpascd.ClusterConfig{Aggregation: agg, Link: tpascd.Link10GbE, Trace: tracer}
-	view := tpascd.PartitionView(p, form, parts[*rank])
-	local, err := tpascd.NewLocalSolver(view, tpascd.DriverSpec{
+	w, err := tpascd.NewWorker(comm, p, form, parts[*rank], tpascd.DriverSpec{
 		Name: solverName, Threads: *threads, BucketSize: *bucket, Seed: *seed + uint64(*rank),
-	})
-	if err != nil {
-		fatal(err)
-	}
-	w, err := tpascd.NewWorker(comm, local, view, cfg)
+	}, cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -348,9 +343,8 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("resume: %w", err))
 		}
-		// Replay the permutation stream past the completed epochs, then
-		// restore the model and rebuild the shared vector collectively.
-		local.SkipEpochs(epoch)
+		// Restore the model, rebuild the shared vector collectively and
+		// replay the permutation stream past the completed epochs.
 		if err := w.ResumeFrom(model, epoch); err != nil {
 			fatal(fmt.Errorf("resume: %w", err))
 		}

@@ -2,7 +2,6 @@ package tpascd
 
 import (
 	"tpascd/internal/cluster"
-	"tpascd/internal/coords"
 	"tpascd/internal/dist"
 	"tpascd/internal/engine"
 	"tpascd/internal/experiments"
@@ -126,16 +125,6 @@ func WrapChaos(c Comm, cfg ChaosConfig) Comm { return cluster.Chaos(c, cfg) }
 // (in-process or TCP). All ranks must call RunEpoch collectively.
 type Worker = dist.Worker
 
-// CoordinateView is one worker's partition of a problem: the compressed
-// non-zero patterns, curvatures and labels of its coordinates.
-type CoordinateView = coords.View
-
-// PartitionView extracts the coordinate view for the given coordinate ids
-// (features in the primal form, examples in the dual).
-func PartitionView(p *Problem, form Form, ids []int) *CoordinateView {
-	return coords.Subset(p, form, ids)
-}
-
 // PartitionRandom assigns n coordinates to k workers uniformly at random.
 func PartitionRandom(n, k int, seed uint64) [][]int {
 	return dist.PartitionRandom(n, k, seed)
@@ -159,30 +148,15 @@ func CooperativeShardFingerprint(comm Comm, kind string, dim int, slice []float3
 	return dist.CooperativeFingerprint(comm, kind, dim, slice)
 }
 
-// NewWorker builds one distributed rank from a communicator, a local
-// solver over its partition and the matching view.
-func NewWorker(comm Comm, local dist.Local, view *CoordinateView, cfg ClusterConfig) (*Worker, error) {
-	return dist.NewWorker(comm, local, view, cfg)
-}
-
-// NewSequentialLocal returns a single-threaded local solver over a
-// partition, for use with NewWorker. The concrete type additionally
-// offers SkipEpochs, the permutation fast-forward checkpoint resume uses.
-func NewSequentialLocal(view *CoordinateView, seed uint64) *dist.CPULocal {
-	l, err := dist.NewCPULocal(view, engine.DriverSpec{Seed: seed}, perfmodel.CPUSequential)
-	if err != nil {
-		// Unreachable: the sequential driver is always registered.
-		panic(err)
-	}
-	return l
-}
-
-// NewLocalSolver returns a local solver over a partition for any CPU
-// driver registered with the engine (scd, a-scd, wild, syscd), selected by
-// spec.Name. The concrete type additionally offers SkipEpochs, the
-// permutation fast-forward checkpoint resume uses.
-func NewLocalSolver(view *CoordinateView, spec DriverSpec) (*dist.CPULocal, error) {
-	return dist.NewCPULocal(view, spec, perfmodel.CPUSequential)
+// NewWorker builds one distributed rank over its partition of the
+// problem — ids are the coordinates it owns: features in the primal form,
+// examples in the dual — with its local solver selected from the engine
+// driver registry by spec.Name (any CPU driver: scd, a-scd, wild, syscd;
+// or tpa-scd with spec.Device set). spec.Seed seeds the rank's
+// permutation stream; spec.RecomputeEvery must be 0. Worker.ResumeFrom
+// restores a checkpointed model and fast-forwards that stream.
+func NewWorker(comm Comm, p *Problem, form Form, ids []int, spec DriverSpec, cfg ClusterConfig) (*Worker, error) {
+	return dist.NewWorker(comm, p, form, ids, spec, perfmodel.CPUSequential, cfg)
 }
 
 // Experiment harness re-exports.

@@ -57,9 +57,9 @@ func main() {
 	runRank := func(rank int, comm tpascd.Comm) {
 		defer wg.Done()
 		defer comm.Close()
-		view := tpascd.PartitionView(p, tpascd.Dual, parts[rank])
-		local := tpascd.NewSequentialLocal(view, uint64(rank)+100)
-		w, err := tpascd.NewWorker(comm, local, view, cfg)
+		// The rank's local solver is the engine's sequential driver over
+		// its partition of the examples.
+		w, err := tpascd.NewWorker(comm, p, tpascd.Dual, parts[rank], tpascd.DriverSpec{Seed: uint64(rank) + 100}, cfg)
 		if err != nil {
 			log.Fatalf("rank %d: %v", rank, err)
 		}

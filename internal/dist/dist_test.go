@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -418,6 +419,27 @@ func TestGPUGroupConvergesAndAccountsTime(t *testing.T) {
 	}
 }
 
+// Each GPU worker stages the shared vector off and back onto its device
+// once per round over the configured PCIe link; nothing else crosses it.
+func TestGPUGroupPCIeStaging(t *testing.T) {
+	p := testProblem(t, 8, 100, 60, 5, 0.1)
+	cfg := defaultConfig(Averaging)
+	cfg.PCIe = perfmodel.Link{Name: "test link", LatencySec: 1e-3, BytesPerSec: 1e6}
+	g, err := NewGPUGroup(p, perfmodel.Dual, 2, perfmodel.GPUM4000, 32, cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	bd, err := g.RunEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 2 * cfg.PCIe.TransferSeconds(int64(p.M)*4) // dual shared vector has M entries
+	if math.Abs(bd.PCIe-want) > 1e-12 {
+		t.Fatalf("PCIe per round = %v, want %v", bd.PCIe, want)
+	}
+}
+
 func TestGroupSizeValidation(t *testing.T) {
 	p := testProblem(t, 12, 50, 30, 4, 0.1)
 	if _, err := NewCPUGroup(p, perfmodel.Primal, 0, engine.DriverSpec{}, perfmodel.CPUSequential, defaultConfig(Averaging), 1); err == nil {
@@ -483,8 +505,8 @@ func TestSyscdLocalSolverGroup(t *testing.T) {
 	}
 }
 
-// The locals take their vocabulary from the engine registry: unknown names
-// and drivers without a CPU epoch body must be rejected at construction.
+// The locals take their vocabulary from the engine registry: unknown names,
+// and tpa-scd in a CPU group (no device), must be rejected at construction.
 func TestCPULocalRejectsUnknownAndGPUDrivers(t *testing.T) {
 	p := testProblem(t, 15, 40, 20, 4, 0.1)
 	if _, err := NewCPUGroup(p, perfmodel.Primal, 2, engine.DriverSpec{Name: "hogwild"},
@@ -616,5 +638,124 @@ func TestCoCoAPlusSharedVectorConsistency(t *testing.T) {
 	}
 	if drift > 1e-4 {
 		t.Fatalf("shared vector inconsistent with model under CoCoA+: drift %v", drift)
+	}
+}
+
+// σ′ values that are not powers of two round the damped shared-vector
+// updates differently from the undamped arithmetic (multiplying by σ′ is
+// no longer exact), so their runs are checked for convergence and
+// consistency rather than bits: CoCoA+ with K = σ′ = 3 and 6 must shrink
+// the gap in both forms and keep the shared vector equal to A·model.
+func TestCoCoAPlusNonPowerOfTwoSigmaConverges(t *testing.T) {
+	p := testProblem(t, 19, 240, 120, 8, 0.01)
+	for _, form := range []perfmodel.Form{perfmodel.Primal, perfmodel.Dual} {
+		for _, k := range []int{3, 6} {
+			g, err := NewCPUGroup(p, form, k, engine.DriverSpec{}, perfmodel.CPUSequential,
+				Config{Aggregation: Adding, SigmaPrime: float64(k), Link: perfmodel.Link10GbE}, 59)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var first float64
+			for e := 1; e <= 60; e++ {
+				if _, err := g.RunEpoch(); err != nil {
+					t.Fatal(err)
+				}
+				if e == 1 {
+					if first, err = g.Gap(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			last, err := g.Gap()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.IsNaN(last) || last > first*1e-2 {
+				t.Fatalf("%v K=σ′=%d: gap %v after 60 epochs, %v after 1", form, k, last, first)
+			}
+			n := p.M
+			if form == perfmodel.Dual {
+				n = p.N
+			}
+			global := make([]float32, n)
+			for rank, w := range g.Workers {
+				for li, gi := range PartitionRandom(n, k, 59)[rank] {
+					global[gi] = w.Model()[li]
+				}
+			}
+			var fresh []float32
+			if form == perfmodel.Primal {
+				fresh = make([]float32, p.N)
+				p.A.MulVec(fresh, global)
+			} else {
+				fresh = make([]float32, p.M)
+				p.A.MulTVec(fresh, global)
+			}
+			var drift float64
+			for i, v := range fresh {
+				d := float64(v - g.Workers[0].Shared()[i])
+				drift += d * d
+			}
+			if drift > 1e-4 {
+				t.Fatalf("%v K=σ′=%d: shared vector drifted from A·model by %v", form, k, drift)
+			}
+			g.Close()
+		}
+	}
+}
+
+// Both CPU constructors build their workers through one body, so a CoCoA+
+// run (Adding, σ′=K) given PartitionRandom's partition explicitly must be
+// bitwise the run NewCPUGroup makes with the same seed — Config.SigmaPrime
+// included.
+func TestExplicitPartitionGroupMatchesRandomGroup(t *testing.T) {
+	p := testProblem(t, 17, 160, 90, 6, 0.01)
+	const k, seed, epochs = 4, 53, 8
+	cfg := Config{Aggregation: Adding, SigmaPrime: k, Link: perfmodel.Link10GbE}
+	run := func(explicit bool) *Group {
+		var g *Group
+		var err error
+		if explicit {
+			g, err = NewCPUGroupWithPartition(p, perfmodel.Primal, PartitionRandom(p.M, k, seed),
+				engine.DriverSpec{}, perfmodel.CPUSequential, cfg, seed)
+		} else {
+			g, err = NewCPUGroup(p, perfmodel.Primal, k, engine.DriverSpec{}, perfmodel.CPUSequential, cfg, seed)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e := 0; e < epochs; e++ {
+			if _, err := g.RunEpoch(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g
+	}
+	a, b := run(false), run(true)
+	defer a.Close()
+	defer b.Close()
+	for r := range a.Workers {
+		for name, pair := range map[string][2][]float32{
+			"model":  {a.Workers[r].Model(), b.Workers[r].Model()},
+			"shared": {a.Workers[r].Shared(), b.Workers[r].Shared()},
+		} {
+			for i := range pair[0] {
+				if math.Float32bits(pair[0][i]) != math.Float32bits(pair[1][i]) {
+					t.Fatalf("rank %d %s[%d]: NewCPUGroup %v, explicit partition %v", r, name, i, pair[0][i], pair[1][i])
+				}
+			}
+		}
+	}
+}
+
+// RecomputeShared on a partition yields only this rank's share of the
+// shared vector, so a local solver asking for periodic recomputation must
+// be refused rather than silently erase the other ranks' contributions.
+func TestWorkerRejectsRecomputeEvery(t *testing.T) {
+	p := testProblem(t, 18, 40, 20, 4, 0.1)
+	_, err := NewCPUGroup(p, perfmodel.Primal, 2, engine.DriverSpec{Name: engine.DriverAtomic, Threads: 2, RecomputeEvery: 3},
+		perfmodel.CPUSequential, defaultConfig(Averaging), 1)
+	if err == nil || !strings.Contains(err.Error(), "RecomputeEvery") {
+		t.Fatalf("RecomputeEvery accepted for a partition: err = %v", err)
 	}
 }

@@ -126,6 +126,27 @@ func TestResumeEpochMismatchDetected(t *testing.T) {
 	}
 }
 
+// ResumeFrom fast-forwards the permutation stream from its start, so it is
+// refused on a worker that has already run rounds — it would skip too far
+// and the continued trajectory would silently differ.
+func TestResumeRejectsStartedWorker(t *testing.T) {
+	p := testProblem(t, 3, 200, 100, 8, 0.01)
+	g, err := NewCPUGroup(p, perfmodel.Dual, 2, engine.DriverSpec{}, perfmodel.CPUSequential, defaultConfig(Averaging), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if _, err := g.RunEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	for r, w := range g.Workers {
+		model, epoch := w.Snapshot()
+		if err := w.ResumeFrom(model, epoch); err == nil || !strings.Contains(err.Error(), "fresh worker") {
+			t.Fatalf("rank %d resumed after a round: err = %v", r, err)
+		}
+	}
+}
+
 // Checkpoint/resume round trip: training interrupted at the halfway point,
 // checkpointed through the on-disk format, and resumed in a fresh group
 // must reach the same duality gap as an uninterrupted run. The shared
@@ -184,9 +205,9 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	}
 	first.Close()
 
-	// Fresh group, as after a process restart: fast-forward each local
-	// solver's permutation stream, restore the models collectively, finish
-	// the remaining epochs.
+	// Fresh group, as after a process restart: restore the models
+	// collectively (which also fast-forwards each local solver's
+	// permutation stream), finish the remaining epochs.
 	second := newGroup()
 	defer second.Close()
 	errs := make([]error, k)
@@ -209,7 +230,6 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 				errs[r] = fmt.Errorf("train state %+v, want rank %d run fault-test", st, r)
 				return
 			}
-			w.local.(*CPULocal).SkipEpochs(st.Epoch)
 			errs[r] = w.ResumeFrom(c.Vectors[0], st.Epoch)
 		}(r, w)
 	}

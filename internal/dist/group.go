@@ -6,12 +6,10 @@ import (
 	"sync"
 
 	"tpascd/internal/cluster"
-	"tpascd/internal/coords"
 	"tpascd/internal/engine"
 	"tpascd/internal/gpusim"
 	"tpascd/internal/perfmodel"
 	"tpascd/internal/ridge"
-	"tpascd/internal/tpascd"
 )
 
 // Group runs a whole K-worker cluster inside one process, with the workers
@@ -21,27 +19,21 @@ import (
 type Group struct {
 	Workers   []*Worker
 	comms     []cluster.Comm
-	closers   []func()
 	closeOnce sync.Once
 }
 
 // NewCPUGroup builds a K-worker group whose local solvers run on the CPU,
 // selected from the engine driver registry by spec.Name (empty =
 // sequential). The coordinates (features for the primal form, examples for
-// the dual) are partitioned randomly across workers; spec.Seed is ignored —
-// each rank derives its permutation seed from the group seed.
+// the dual) are partitioned with PartitionRandom(n, k, seed); spec.Seed is
+// ignored — each rank derives its permutation seed from the group seed.
 func NewCPUGroup(p *ridge.Problem, form perfmodel.Form, k int, spec engine.DriverSpec,
 	profile perfmodel.CPUProfile, cfg Config, seed uint64) (*Group, error) {
-	return newGroup(p, form, k, nil, cfg, seed, func(rank int, view *coords.View) (Local, func(), error) {
-		rs := spec
-		rs.Seed = seed + uint64(rank)*7919
-		l, err := NewCPULocal(view, rs, profile)
-		if err != nil {
-			return nil, nil, err
-		}
-		l.SetSigma(cfg.SigmaPrime)
-		return l, nil, nil
-	})
+	parts, err := randomParts(p, form, k, seed)
+	if err != nil {
+		return nil, err
+	}
+	return NewCPUGroupWithPartition(p, form, parts, spec, profile, cfg, seed)
 }
 
 // NewCPUGroupWithPartition is NewCPUGroup with an explicit coordinate
@@ -50,50 +42,59 @@ func NewCPUGroup(p *ridge.Problem, form perfmodel.Form, k int, spec engine.Drive
 // Section IV of the paper).
 func NewCPUGroupWithPartition(p *ridge.Problem, form perfmodel.Form, parts Partition, spec engine.DriverSpec,
 	profile perfmodel.CPUProfile, cfg Config, seed uint64) (*Group, error) {
-	return newGroup(p, form, len(parts), parts, cfg, seed, func(rank int, view *coords.View) (Local, func(), error) {
+	return newGroup(p, form, parts, profile, cfg, func(rank int) engine.DriverSpec {
 		rs := spec
-		rs.Seed = seed + uint64(rank)*7919
-		l, err := NewCPULocal(view, rs, profile)
-		if err != nil {
-			return nil, nil, err
-		}
-		return l, nil, nil
+		rs.Seed = rankSeed(seed, rank)
+		return rs
 	})
 }
 
-// NewGPUGroup builds a K-worker group whose local solvers are TPA-SCD
-// kernels, each on its own simulated device (the Fig. 7 architecture:
-// one GPU per worker, data resident on the device).
+// NewGPUGroup builds a K-worker group whose local solvers are the engine's
+// TPA-SCD driver, each on its own simulated device (the Fig. 7
+// architecture: one GPU per worker, data resident on the device).
 func NewGPUGroup(p *ridge.Problem, form perfmodel.Form, k int, gpu perfmodel.GPUProfile,
 	blockSize int, cfg Config, seed uint64) (*Group, error) {
-	return newGroup(p, form, k, nil, cfg, seed, func(rank int, view *coords.View) (Local, func(), error) {
+	parts, err := randomParts(p, form, k, seed)
+	if err != nil {
+		return nil, err
+	}
+	return newGroup(p, form, parts, perfmodel.CPUProfile{}, cfg, func(rank int) engine.DriverSpec {
 		dev := gpusim.NewDevice(gpu)
 		if cfg.PCIe.BytesPerSec > 0 {
 			dev.PinnedLink = cfg.PCIe
 			dev.PageableLink = cfg.PCIe
 		}
-		kernel, err := tpascd.NewKernel(dev, view, blockSize, seed+uint64(rank)*7919)
-		if err != nil {
-			return nil, nil, err
-		}
-		l := NewGPULocal(kernel)
-		return l, l.Close, nil
+		return engine.DriverSpec{Name: engine.DriverGPU, BlockSize: blockSize, Device: dev, Seed: rankSeed(seed, rank)}
 	})
 }
 
-func newGroup(p *ridge.Problem, form perfmodel.Form, k int, parts Partition, cfg Config, seed uint64,
-	makeLocal func(rank int, view *coords.View) (Local, func(), error)) (*Group, error) {
+// rankSeed derives a rank's permutation seed from the group seed.
+func rankSeed(seed uint64, rank int) uint64 { return seed + uint64(rank)*7919 }
+
+// randomParts is the default partition of the group constructors.
+func randomParts(p *ridge.Problem, form perfmodel.Form, k int, seed uint64) (Partition, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("dist: group size %d", k)
 	}
-	numCoords := p.M
+	return PartitionRandom(numCoords(p, form), k, seed), nil
+}
+
+// numCoords is the coordinate count of the form: features in the primal,
+// examples in the dual.
+func numCoords(p *ridge.Problem, form perfmodel.Form) int {
 	if form == perfmodel.Dual {
-		numCoords = p.N
+		return p.N
 	}
-	if parts == nil {
-		parts = PartitionRandom(numCoords, k, seed)
+	return p.M
+}
+
+func newGroup(p *ridge.Problem, form perfmodel.Form, parts Partition, profile perfmodel.CPUProfile, cfg Config,
+	specFor func(rank int) engine.DriverSpec) (*Group, error) {
+	k := len(parts)
+	if k < 1 {
+		return nil, fmt.Errorf("dist: group size %d", k)
 	}
-	if err := parts.Validate(numCoords); err != nil {
+	if err := parts.Validate(numCoords(p, form)); err != nil {
 		return nil, err
 	}
 	comms, err := cluster.InProc(k)
@@ -105,16 +106,7 @@ func newGroup(p *ridge.Problem, form perfmodel.Form, k int, parts Partition, cfg
 		if cfg.WrapComm != nil {
 			g.comms[rank] = cfg.WrapComm(g.comms[rank])
 		}
-		view := coords.Subset(p, form, parts[rank])
-		local, closer, err := makeLocal(rank, view)
-		if err != nil {
-			g.Close()
-			return nil, err
-		}
-		if closer != nil {
-			g.closers = append(g.closers, closer)
-		}
-		w, err := NewWorker(g.comms[rank], local, view, cfg)
+		w, err := NewWorker(g.comms[rank], p, form, parts[rank], specFor(rank), profile, cfg)
 		if err != nil {
 			g.Close()
 			return nil, err
@@ -157,8 +149,8 @@ func (g *Group) Size() int { return len(g.Workers) }
 // safe after an aborted round.
 func (g *Group) Close() {
 	g.closeComms()
-	for _, f := range g.closers {
-		f()
+	for _, w := range g.Workers {
+		w.Close()
 	}
 }
 

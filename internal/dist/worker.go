@@ -6,9 +6,10 @@ import (
 	"time"
 
 	"tpascd/internal/cluster"
-	"tpascd/internal/coords"
+	"tpascd/internal/engine"
 	"tpascd/internal/obs"
 	"tpascd/internal/perfmodel"
+	"tpascd/internal/ridge"
 )
 
 // Aggregation selects how the master combines the workers' shared-vector
@@ -56,10 +57,10 @@ type Config struct {
 	// HostFlopsPerSec, when non-zero, overrides the host vector-arithmetic
 	// rate used for the HostComp part of the time breakdown.
 	HostFlopsPerSec float64
-	// SigmaPrime is the CoCoA+ subproblem-safety parameter σ′ applied by
-	// CPU local solvers (< 1 is treated as 1, the paper's CoCoA-σ=1
-	// configuration). σ′ = K with Adding aggregation is the CoCoA+
-	// configuration of Ma et al.
+	// SigmaPrime is the CoCoA+ subproblem-safety parameter σ′ of the
+	// local subproblems (< 1 is treated as 1, the paper's CoCoA-σ=1
+	// configuration; see ridge.NewPartitionLoss). σ′ = K with Adding
+	// aggregation is the CoCoA+ configuration of Ma et al.
 	SigmaPrime float64
 	// WrapComm, when non-nil, wraps each rank's communicator before its
 	// worker is built — the seam for transport middleware, above all
@@ -84,14 +85,21 @@ func (c Config) hostVectorOpSeconds(elements, passes int) float64 {
 
 // Worker executes one rank of the synchronous distributed SCD algorithms.
 // All ranks must call RunEpoch collectively, like an MPI program.
+//
+// The rank's local solver is an ordinary engine solver over the ridge
+// partition loss of its coordinates: one local epoch per round is one
+// RunEpoch of the registered driver, which updates the solver's model and
+// shared vector in place; the worker aggregates into the same two slices
+// between rounds.
 type Worker struct {
-	comm  cluster.Comm
-	local Local
-	view  *coords.View
-	cfg   Config
+	comm    cluster.Comm
+	loss    *ridge.Loss
+	solver  engine.Solver
+	profile perfmodel.CPUProfile
+	cfg     Config
 
-	model  []float32 // local coordinates
-	shared []float32 // global shared vector (consistent across ranks)
+	model  []float32 // local coordinates (aliases the solver's model)
+	shared []float32 // global shared vector, consistent across ranks (aliases the solver's)
 
 	prevModel  []float32
 	prevShared []float32
@@ -107,27 +115,47 @@ type Worker struct {
 	commDur time.Duration
 }
 
-// NewWorker builds one rank. view must be the same partition the local
-// solver was built over.
-func NewWorker(comm cluster.Comm, local Local, view *coords.View, cfg Config) (*Worker, error) {
-	if local.NumCoords() != view.Num {
-		return nil, fmt.Errorf("dist: local solver has %d coordinates, view has %d", local.NumCoords(), view.Num)
+// NewWorker builds one rank over its partition of the problem: ids are
+// the coordinates it owns (features in the primal form, examples in the
+// dual), and spec selects its local solver from the engine driver registry
+// (a CPU driver, or tpa-scd with spec.Device set). profile models the
+// compute time of CPU local epochs; a tpa-scd local is timed by its
+// device. cfg.SigmaPrime damps the local subproblem.
+//
+// spec.RecomputeEvery must be 0: RecomputeShared on a partition yields
+// only this rank's share of the shared vector, so the drivers' drift
+// repair would erase the other ranks' contributions.
+func NewWorker(comm cluster.Comm, p *ridge.Problem, form perfmodel.Form, ids []int, spec engine.DriverSpec,
+	profile perfmodel.CPUProfile, cfg Config) (*Worker, error) {
+	if spec.RecomputeEvery > 0 {
+		return nil, fmt.Errorf("dist: RecomputeEvery %d: a partition cannot recompute the global shared vector", spec.RecomputeEvery)
 	}
-	if err := view.Validate(); err != nil {
+	loss := ridge.NewPartitionLoss(p, form, ids, cfg.SigmaPrime)
+	solver, err := engine.NewSolver(loss, spec)
+	if err != nil {
 		return nil, err
 	}
 	return &Worker{
 		comm:       comm,
-		local:      local,
-		view:       view,
+		loss:       loss,
+		solver:     solver,
+		profile:    profile,
 		cfg:        cfg,
-		model:      make([]float32, view.Num),
-		shared:     make([]float32, view.SharedLen),
-		prevModel:  make([]float32, view.Num),
-		prevShared: make([]float32, view.SharedLen),
-		deltaSum:   make([]float32, view.SharedLen),
+		model:      solver.Model(),
+		shared:     solver.SharedVector(),
+		prevModel:  make([]float32, loss.NumCoords()),
+		prevShared: make([]float32, loss.SharedLen()),
+		deltaSum:   make([]float32, loss.SharedLen()),
 		gamma:      1,
 	}, nil
+}
+
+// Close releases the local solver's device memory (a no-op for CPU
+// drivers).
+func (w *Worker) Close() {
+	if c, ok := w.solver.(interface{ Close() }); ok {
+		c.Close()
+	}
 }
 
 // Model returns the local model weights (aliases worker state).
@@ -156,12 +184,24 @@ func (w *Worker) Snapshot() ([]float32, int) {
 
 // ResumeFrom restores a checkpointed model and rejoins the group at the
 // given epoch. It is collective: every rank must call it with its own
-// partition's model and the same epoch before any RunEpoch. Ranks first
+// partition's model and the same epoch before any RunEpoch; a worker that
+// has already run or resumed rounds is refused, since its permutation
+// stream is no longer at the start the fast-forward counts from. Ranks first
 // agree they are resuming from the same round (mismatched checkpoints are
 // an error, not silent divergence), then rebuild the global shared vector
 // by summing each rank's local contribution — for either form that is
-// Σ_c model[c]·a_c over the rank's coordinates, Allreduced across ranks.
+// Σ_c model[c]·a_c over the rank's coordinates (the partition loss's
+// RecomputeShared), Allreduced across ranks. The local solver's
+// permutation stream is fast-forwarded past the completed epochs, so the
+// continued trajectory draws the permutations an uninterrupted run would.
 func (w *Worker) ResumeFrom(model []float32, epoch int) error {
+	skipper, ok := w.solver.(interface{ SkipEpochs(int) })
+	if !ok {
+		return fmt.Errorf("dist: local solver %s cannot fast-forward its permutation stream", w.solver.Name())
+	}
+	if w.epoch != 0 {
+		return fmt.Errorf("dist: resume on a worker already at epoch %d; resume only a fresh worker", w.epoch)
+	}
 	if len(model) != len(w.model) {
 		return fmt.Errorf("dist: resume model has %d coordinates, partition has %d", len(model), len(w.model))
 	}
@@ -183,19 +223,11 @@ func (w *Worker) ResumeFrom(model []float32, epoch int) error {
 	}
 	copy(w.model, model)
 	local := make([]float32, len(w.shared))
-	for c := 0; c < w.view.Num; c++ {
-		m := w.model[c]
-		if m == 0 {
-			continue
-		}
-		idx, val := w.view.CoordNZ(c)
-		for k := range idx {
-			local[idx[k]] += val[k] * m
-		}
-	}
+	w.loss.RecomputeShared(local, w.model)
 	if err := w.comm.Allreduce(local, w.shared); err != nil {
 		return err
 	}
+	skipper.SkipEpochs(epoch)
 	w.epoch = epoch
 	return nil
 }
@@ -212,13 +244,25 @@ func (w *Worker) RunEpoch() (perfmodel.Breakdown, error) {
 
 	// Local optimization pass.
 	computeStart := time.Now()
-	w.local.Epoch(w.model, w.shared)
+	w.solver.RunEpoch()
 	computeDur := time.Since(computeStart)
 
-	// Local deltas (reuse shared as the send buffer via deltaSum scratch).
-	delta := w.shared // alias: shared currently holds prevShared + local updates
-	for i := range delta {
-		delta[i] -= w.prevShared[i]
+	// Local deltas, formed in place in the shared vector (it is rebuilt
+	// below). Under σ′ > 1 the solver's shared vector carries σ′·A_kΔβ_k;
+	// un-scale it so the group aggregates true A_kΔβ_k contributions. The
+	// un-scaled vector w + A_kΔβ_k is rounded to float32 before w is
+	// subtracted, the same arithmetic as un-scaling the vector in place.
+	delta := w.shared
+	if sigma := w.loss.SigmaPrime(); sigma > 1 {
+		sigma32 := float32(sigma)
+		for i, prev := range w.prevShared {
+			unscaled := prev + (delta[i]-prev)/sigma32
+			delta[i] = unscaled - prev
+		}
+	} else {
+		for i := range delta {
+			delta[i] -= w.prevShared[i]
+		}
 	}
 
 	// Reduce + broadcast so every rank holds the summed delta.
@@ -258,7 +302,7 @@ func (w *Worker) RunEpoch() (perfmodel.Breakdown, error) {
 
 	// Modeled time: synchronous round = max worker compute (+PCIe), plus
 	// master-routed network collectives, plus host-side vector arithmetic.
-	compute, pcie := w.local.EpochTimes()
+	compute, pcie := w.epochTimes()
 	maxes, err := w.allreduceMax([]float64{compute, pcie})
 	if err != nil {
 		return bd, err
@@ -269,12 +313,12 @@ func (w *Worker) RunEpoch() (perfmodel.Breakdown, error) {
 		bd.HostComp = maxes[0] // CPU local solver
 	}
 	bd.PCIe = maxes[1]
-	sharedBytes := int64(w.view.SharedLen) * 4
+	sharedBytes := int64(len(w.shared)) * 4
 	bd.Network = w.cfg.Link.ReduceSeconds(K, sharedBytes) + w.cfg.Link.BroadcastSeconds(K, sharedBytes)
 	if scalarPayload > 0 {
 		bd.Network += w.cfg.Link.ReduceSeconds(K, scalarPayload) + w.cfg.Link.BroadcastSeconds(K, scalarPayload)
 	}
-	bd.HostComp += w.cfg.hostVectorOpSeconds(w.view.SharedLen, 4)
+	bd.HostComp += w.cfg.hostVectorOpSeconds(len(w.shared), 4)
 	w.epoch++
 	w.cfg.Trace.Emit("dist.round", start, time.Since(start),
 		obs.F("rank", float64(w.comm.Rank())),
@@ -285,6 +329,20 @@ func (w *Worker) RunEpoch() (perfmodel.Breakdown, error) {
 		obs.F("comm_s", w.commDur.Seconds()),
 	)
 	return bd, nil
+}
+
+// epochTimes returns the modeled cost of one local epoch: compute seconds
+// and PCIe staging seconds. A device local runs its kernel and stages the
+// shared vector off and back onto the device once each (the Fig. 7
+// architecture: the dataset stays resident, only the shared vector moves);
+// a CPU local is timed by the profile from the driver's epoch work.
+func (w *Worker) epochTimes() (compute, pcie float64) {
+	if gpu, ok := w.solver.(*engine.GPU); ok {
+		bytes := int64(len(w.shared)) * 4
+		return gpu.EpochSeconds(), gpu.Device().TransferSeconds(bytes, true) * 2
+	}
+	nnz, coords := w.solver.EpochWork()
+	return w.profile.EpochSeconds(nnz, coords), 0
 }
 
 // adaptiveGamma computes the closed-form optimal aggregation parameter.
@@ -301,9 +359,10 @@ func (w *Worker) RunEpoch() (perfmodel.Breakdown, error) {
 // disjoint coordinates, so the global values are plain sums (the paper's
 // observation that makes the extra communication a few scalars per epoch).
 func (w *Worker) adaptiveGamma() (float64, int64, error) {
-	v := w.view
-	N := float64(v.NGlobal)
-	lambda := v.Lambda
+	l := w.loss
+	N := float64(l.Examples())
+	lambda := l.Lambda()
+	y, yCoord := l.Labels(), l.CoordLabels()
 
 	// Local model-side scalars.
 	var mDot, mNormSq, mY float64
@@ -311,8 +370,8 @@ func (w *Worker) adaptiveGamma() (float64, int64, error) {
 		d := float64(w.model[j]) - float64(w.prevModel[j])
 		mDot += float64(w.prevModel[j]) * d
 		mNormSq += d * d
-		if v.Form == perfmodel.Dual {
-			mY += d * float64(v.YCoord[j])
+		if yCoord != nil {
+			mY += d * float64(yCoord[j])
 		}
 	}
 	sums, err := w.timedAllreduceScalars([]float64{mDot, mNormSq, mY})
@@ -324,10 +383,10 @@ func (w *Worker) adaptiveGamma() (float64, int64, error) {
 
 	// Shared-side scalars from globally identical vectors.
 	var sDot, sNormSq float64
-	if v.Form == perfmodel.Primal {
+	if l.Form() == perfmodel.Primal {
 		for i := range w.deltaSum {
 			d := float64(w.deltaSum[i])
-			sDot += (float64(w.prevShared[i]) - float64(v.YShared[i])) * d
+			sDot += (float64(w.prevShared[i]) - float64(y[i])) * d
 			sNormSq += d * d
 		}
 		num := -(sDot + N*lambda*mDot)
@@ -407,23 +466,24 @@ func (w *Worker) Gap() (float64, error) {
 }
 
 func (w *Worker) computeGap() (float64, error) {
-	v := w.view
-	N := float64(v.NGlobal)
-	lambda := v.Lambda
-	if v.Form == perfmodel.Primal {
+	l := w.loss
+	N := float64(l.Examples())
+	lambda := l.Lambda()
+	if l.Form() == perfmodel.Primal {
+		y := l.Labels()
 		// P(β) = ‖w−y‖²/(2N) + λ/2·Σ_k‖β_k‖²
 		// α̂ = (y−w)/N (global), D(α̂) needs ‖Aᵀα̂‖² = Σ_k Σ_{j∈S_k}⟨a_j,α̂⟩².
 		var betaSq float64
 		for _, b := range w.model {
 			betaSq += float64(b) * float64(b)
 		}
-		alphaHat := make([]float32, v.SharedLen)
+		alphaHat := make([]float32, len(w.shared))
 		for i := range alphaHat {
-			alphaHat[i] = (v.YShared[i] - w.shared[i]) / float32(N)
+			alphaHat[i] = (y[i] - w.shared[i]) / float32(N)
 		}
 		var atASq float64
-		for c := 0; c < v.Num; c++ {
-			idx, val := v.CoordNZ(c)
+		for c := range w.model {
+			idx, val := l.CoordNZ(c)
 			var dp float64
 			for k := range idx {
 				dp += float64(val[k]) * float64(alphaHat[idx[k]])
@@ -437,11 +497,11 @@ func (w *Worker) computeGap() (float64, error) {
 		betaSq, atASq = sums[0], sums[1]
 		var residSq, alphaSq, alphaY float64
 		for i := range w.shared {
-			r := float64(w.shared[i]) - float64(v.YShared[i])
+			r := float64(w.shared[i]) - float64(y[i])
 			residSq += r * r
 			a := float64(alphaHat[i])
 			alphaSq += a * a
-			alphaY += a * float64(v.YShared[i])
+			alphaY += a * float64(y[i])
 		}
 		p := residSq/(2*N) + lambda/2*betaSq
 		d := -N/2*alphaSq - atASq/(2*lambda) + alphaY
@@ -450,22 +510,23 @@ func (w *Worker) computeGap() (float64, error) {
 	// Dual: D(α) = −N/2·Σ‖α_k‖² − ‖w̄‖²/(2λ) + Σ⟨α_k,y_k⟩ ;
 	// β̂ = w̄/λ (global), P(β̂) needs Σ_k Σ_{i∈rows_k}(⟨ā_i,β̂⟩−y_i)².
 	var alphaSq, alphaY, residSq, betaHatSq float64
-	betaHat := make([]float32, v.SharedLen)
+	y := l.CoordLabels()
+	betaHat := make([]float32, len(w.shared))
 	invLambda := 1 / float32(lambda)
 	for j := range betaHat {
 		betaHat[j] = w.shared[j] * invLambda
 		betaHatSq += float64(betaHat[j]) * float64(betaHat[j])
 	}
-	for c := 0; c < v.Num; c++ {
+	for c := range w.model {
 		a := float64(w.model[c])
 		alphaSq += a * a
-		alphaY += a * float64(v.YCoord[c])
-		idx, val := v.CoordNZ(c)
+		alphaY += a * float64(y[c])
+		idx, val := l.CoordNZ(c)
 		var dp float64
 		for k := range idx {
 			dp += float64(val[k]) * float64(betaHat[idx[k]])
 		}
-		r := dp - float64(v.YCoord[c])
+		r := dp - float64(y[c])
 		residSq += r * r
 	}
 	sums, err := w.timedAllreduceScalars([]float64{alphaSq, alphaY, residSq})

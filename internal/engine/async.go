@@ -145,6 +145,15 @@ func (s *Async) RunEpoch() {
 	}
 }
 
+// SkipEpochs draws and discards n epochs' permutations and advances the
+// recompute schedule, as if n epochs had run (see Sequential.SkipEpochs).
+func (s *Async) SkipEpochs(n int) {
+	for i := 0; i < n; i++ {
+		s.perm = s.rng.Perm(s.loss.NumCoords(), s.perm)
+	}
+	s.epochsRun += n
+}
+
 // RecomputeShared rebuilds the shared vector from the model, the repair
 // step proposed for A-SCD when drift accumulates.
 func (s *Async) RecomputeShared() {

@@ -122,6 +122,14 @@ func (g *GPU) RunEpoch() {
 	g.totalStats.BlockSize = stats.BlockSize
 }
 
+// SkipEpochs draws and discards n epochs' permutations (see
+// Sequential.SkipEpochs).
+func (g *GPU) SkipEpochs(n int) {
+	for i := 0; i < n; i++ {
+		g.perm = g.rng.Perm(g.loss.NumCoords(), g.perm)
+	}
+}
+
 // Loss returns the loss the solver optimizes.
 func (g *GPU) Loss() Loss { return g.loss }
 
@@ -131,12 +139,10 @@ func (g *GPU) Device() *gpusim.Device { return g.dev }
 // BlockSize returns the configured threads-per-block.
 func (g *GPU) BlockSize() int { return g.blockSize }
 
-// Model returns a host copy of the device-resident model weights.
-func (g *GPU) Model() []float32 {
-	out := make([]float32, g.model.Len())
-	copy(out, g.model.Host())
-	return out
-}
+// Model returns the host view of the device-resident model weights (no
+// transfer accounting). It aliases solver state, like every driver's
+// Model: a distributed worker aggregates into it in place between epochs.
+func (g *GPU) Model() []float32 { return g.model.Host() }
 
 // SharedVector returns the device shared vector (host view, no transfer
 // accounting).

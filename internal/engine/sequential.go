@@ -47,6 +47,16 @@ func (s *Sequential) RunEpoch() {
 	}
 }
 
+// SkipEpochs draws and discards n epochs' permutations, aligning a freshly
+// built solver's permutation stream with one that already ran n epochs:
+// with its model and shared vector restored, the solver then continues
+// exactly as the uninterrupted run would (checkpoint resume).
+func (s *Sequential) SkipEpochs(n int) {
+	for i := 0; i < n; i++ {
+		s.perm = s.rng.Perm(s.loss.NumCoords(), s.perm)
+	}
+}
+
 // SetModel overwrites the model (for warm starts, e.g. regularization
 // paths) and recomputes the shared vector to match.
 func (s *Sequential) SetModel(m []float32) {

@@ -120,6 +120,20 @@ func (s *Syscd) RunEpoch() {
 	}
 }
 
+// SkipEpochs draws and discards n epochs' permutations — of coordinates at
+// one thread, of buckets otherwise — and advances the recompute schedule,
+// as if n epochs had run (see Sequential.SkipEpochs).
+func (s *Syscd) SkipEpochs(n int) {
+	permLen := s.NumBuckets()
+	if s.threads == 1 {
+		permLen = s.loss.NumCoords()
+	}
+	for i := 0; i < n; i++ {
+		s.perm = s.rng.Perm(permLen, s.perm)
+	}
+	s.epochsRun += n
+}
+
 // runSequential is Algorithm 1 exactly (cf. Sequential.RunEpoch): with a
 // single thread there is no contention for bucketing or replicas to hide,
 // so the driver degenerates to the sequential update — same permutation

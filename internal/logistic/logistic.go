@@ -263,7 +263,7 @@ func NewGPU(p *Problem, dev *gpusim.Device, blockSize int, seed uint64) (*GPU, e
 	return &GPU{g, p}, nil
 }
 
-// Alpha returns a host copy of the dual variables.
+// Alpha returns the dual variables (the host view of the device model).
 func (g *GPU) Alpha() []float32 { return g.Model() }
 
 // Accuracy returns the training accuracy of sign(⟨w, x̄ᵢ⟩) using the

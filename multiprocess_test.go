@@ -681,14 +681,8 @@ func referenceShardOutModel(t *testing.T, size, epochs int, seed uint64, nRows, 
 	cfg := tpascd.ClusterConfig{Aggregation: tpascd.Averaging, Link: tpascd.Link10GbE}
 	workers := make([]*tpascd.Worker, size)
 	for r := 0; r < size; r++ {
-		view := tpascd.PartitionView(p, tpascd.Primal, parts[r])
-		local, err := tpascd.NewLocalSolver(view, tpascd.DriverSpec{
-			Name: solverName, Threads: 1, Seed: seed + uint64(r),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if workers[r], err = tpascd.NewWorker(comms[r], local, view, cfg); err != nil {
+		spec := tpascd.DriverSpec{Name: solverName, Threads: 1, Seed: seed + uint64(r)}
+		if workers[r], err = tpascd.NewWorker(comms[r], p, tpascd.Primal, parts[r], spec, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}

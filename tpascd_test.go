@@ -167,9 +167,7 @@ func TestCustomWorkerOverTCP(t *testing.T) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			view := tpascd.PartitionView(p, tpascd.Primal, parts[rank])
-			local := tpascd.NewSequentialLocal(view, uint64(rank))
-			w, err := tpascd.NewWorker(comms[rank], local, view, cfg)
+			w, err := tpascd.NewWorker(comms[rank], p, tpascd.Primal, parts[rank], tpascd.DriverSpec{Seed: uint64(rank)}, cfg)
 			if err != nil {
 				t.Errorf("rank %d: %v", rank, err)
 				return
